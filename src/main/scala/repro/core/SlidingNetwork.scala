@@ -1,12 +1,17 @@
 package repro.core
 
-import scala.collection.mutable
 import repro.core.ExactCorrelation.Terms
 
 /** All-pair sliding-window correlation state for real-time data
-  * (Algorithm 3). Holds, per series, a deque of basic-window sketches and,
-  * per pair, a deque of per-window correlations c_j plus the Lemma-1 terms
-  * of the current query window; `ingest` advances every pair via Lemma 2.
+  * (Algorithm 3). Holds a ring of the last n_s basic windows (each slot one
+  * window's sketches of every series and its c_j of every pair) plus the
+  * Lemma-1 terms of the current query window per pair; `ingest` advances
+  * every pair via Lemma 2.
+  *
+  * The per-window c_j estimate is the only variation point: this class uses
+  * exact Pearson; [[repro.dft.SlidingApproxNetwork]] overrides
+  * [[windowCorrs]] with the DFT estimate 1 − d²/2, which makes the same
+  * Lemma-2 slide the paper's Equation 6.
   *
   * Pairs are stored flat in upper-triangular order: pair (i, j), i < j, at
   * index i·n − i(i+1)/2 + (j − i − 1).
@@ -14,14 +19,16 @@ import repro.core.ExactCorrelation.Terms
   * @param nSeries  number of time-series (network nodes)
   * @param nWindows n_s: number of basic windows in the sliding query window
   */
-final class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
+class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
   require(nSeries >= 2 && nWindows >= 1)
 
   private val nPairs = nSeries * (nSeries - 1) / 2
-  private val seriesWindows: Array[mutable.ArrayDeque[WindowStats]] =
-    Array.fill(nSeries)(mutable.ArrayDeque.empty)
-  private val pairCs: Array[mutable.ArrayDeque[Double]] =
-    Array.fill(nPairs)(mutable.ArrayDeque.empty)
+  // Every series and pair evicts at the same moment, so one ring position
+  // serves them all; when the ring is full, `next` is the oldest slot.
+  private val statsRing = new Array[Array[WindowStats]](nWindows)
+  private val corrRing = new Array[Array[Double]](nWindows)
+  private var next = 0
+  private var held = 0
   private val pairTerms: Array[Terms] = new Array[Terms](nPairs)
 
   /** Flat index of pair (i, j) with i < j. */
@@ -31,16 +38,35 @@ final class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
   }
 
   /** Number of basic windows currently held. */
-  def size: Int = seriesWindows(0).size
+  def size: Int = held
 
   /** True once the sliding window holds n_s basic windows. */
   def full: Boolean = size == nWindows
 
+  /** Per-window step: the c_j of every pair, in pair-index order, for one
+    * arriving basic window per series with its sketches.
+    */
+  protected def windowCorrs(windows: Array[Array[Double]], stats: Array[WindowStats]): Array[Double] =
+    pairwise((i, j) => WindowStats.pearson(windows(i), windows(j)))
+
+  /** `f(i, j)` for every pair i < j, in pair-index order. */
+  protected final def pairwise(f: (Int, Int) => Double): Array[Double] = {
+    val out = new Array[Double](nPairs)
+    var p = 0
+    var i = 0
+    while (i < nSeries) {
+      var j = i + 1
+      while (j < nSeries) { out(p) = f(i, j); p += 1; j += 1 }
+      i += 1
+    }
+    out
+  }
+
   /** Feed one basic window of raw data for every series. Until the window
     * count reaches n_s this grows the query window (Lemma 2's append
     * special case); afterwards it slides (evict oldest + add newest).
-    * Per-pair cost after the O(N·B) sketch and O(N²·B) c_j pass is O(1) —
-    * the point of Lemma 2.
+    * Per-pair cost after the O(N·B) sketch and the per-window c_j step is
+    * O(1) — the point of Lemma 2.
     *
     * @param windows raw basic window per series, all of equal length
     */
@@ -49,43 +75,36 @@ final class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
     val b = windows(0).length
     require(windows.forall(_.length == b), "all series must deliver equal-size basic windows")
     val stats = windows.map(WindowStats.of)
-    val evicting = full
+    val cs = windowCorrs(windows, stats)
+    val evStats = statsRing(next); val evCs = corrRing(next)
+    var p = 0
     var i = 0
     while (i < nSeries) {
       var j = i + 1
       while (j < nSeries) {
-        val p = pairIndex(i, j)
-        val c = WindowStats.pearson(windows(i), windows(j))
-        if (pairTerms(p) == null) {
-          // first window: δ = 0, so terms are the window's own moments
-          pairTerms(p) = Terms(b.toLong, b * stats(i).std * stats(j).std * c,
-            b * stats(i).variance, b * stats(j).variance, stats(i).mean, stats(j).mean)
-        } else if (evicting) {
-          val evX = seriesWindows(i).head; val evY = seriesWindows(j).head
-          val cEv = pairCs(p).head
-          pairTerms(p) = IncrementalCorrelation.slide(pairTerms(p), evX, evY, cEv, stats(i), stats(j), c)
-          pairCs(p).removeHead()
-        } else {
-          pairTerms(p) = IncrementalCorrelation.append(pairTerms(p), stats(i), stats(j), c)
-        }
-        pairCs(p).append(c)
+        val c = cs(p)
+        pairTerms(p) =
+          if (held == 0) // first window: δ = 0, so terms are the window's own moments
+            Terms(b.toLong, b * stats(i).std * stats(j).std * c,
+              b * stats(i).variance, b * stats(j).variance, stats(i).mean, stats(j).mean)
+          else if (full)
+            IncrementalCorrelation.slide(pairTerms(p), evStats(i), evStats(j), evCs(p), stats(i), stats(j), c)
+          else IncrementalCorrelation.append(pairTerms(p), stats(i), stats(j), c)
+        p += 1
         j += 1
       }
       i += 1
     }
-    i = 0
-    while (i < nSeries) {
-      if (evicting) seriesWindows(i).removeHead()
-      seriesWindows(i).append(stats(i))
-      i += 1
-    }
+    statsRing(next) = stats; corrRing(next) = cs
+    next = (next + 1) % nWindows
+    if (!full) held += 1
   }
 
   /** Current correlation of pair (i, j), i < j. */
   def corr(i: Int, j: Int): Double = {
-    val t = pairTerms(pairIndex(i, j))
-    require(t != null, "no data ingested yet")
-    t.corr
+    val p = pairIndex(i, j)
+    require(held > 0, "no data ingested yet")
+    pairTerms(p).corr
   }
 
   /** Full symmetric correlation matrix (diagonal = 1). */

@@ -51,7 +51,4 @@ object WindowStats {
     while (i < n) { c += (x(i) - sx.mean) * (y(i) - sy.mean); i += 1 }
     c / n
   }
-
-  /** c_j as stored by the sketcher: Pearson, with the zero-variance guard. */
-  def windowCorr(x: Array[Double], y: Array[Double]): Double = pearson(x, y)
 }

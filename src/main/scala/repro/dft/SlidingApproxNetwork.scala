@@ -1,93 +1,30 @@
 package repro.dft
 
-import scala.collection.mutable
-import repro.core.{ExactCorrelation, Network, WindowStats}
-import repro.core.ExactCorrelation.Terms
+import repro.core.{SlidingNetwork, WindowStats}
 import repro.dft.ApproxCorrelation.DftSketch
 
 /** All-pair sliding-window state for the DFT comparator (§3.2.2,
-  * Equation 6) — the approximate counterpart of
-  * [[repro.core.SlidingNetwork]]. Each arriving basic window pays the
-  * O(B²) DFT per series plus O(nCoeff) per pair for prefix distances; the
-  * per-pair correlation then updates incrementally via Eq 6 (Lemma 2 over
-  * the per-window DFT correlation estimates).
+  * Equation 6): [[repro.core.SlidingNetwork]] with each window's c_j
+  * estimated as 1 − d²/2 from the first `nCoeff` DFT coefficients, so the
+  * engine's Lemma-2 slide is Eq 6. Each arriving basic window pays the
+  * O(B²) DFT per series plus O(nCoeff) per pair for prefix distances.
   *
   * @param nSeries  number of series
   * @param nWindows n_s windows in the sliding query window
   * @param nCoeff   DFT coefficients used for per-window distances
   */
-final class SlidingApproxNetwork(val nSeries: Int, val nWindows: Int, val nCoeff: Int) {
-  require(nSeries >= 2 && nWindows >= 1 && nCoeff >= 1)
+final class SlidingApproxNetwork(nSeries: Int, nWindows: Int, val nCoeff: Int)
+    extends SlidingNetwork(nSeries, nWindows) {
+  require(nCoeff >= 1)
 
-  private val nPairs = nSeries * (nSeries - 1) / 2
-  private val seriesWindows: Array[mutable.ArrayDeque[WindowStats]] =
-    Array.fill(nSeries)(mutable.ArrayDeque.empty)
-  private val pairDSq: Array[mutable.ArrayDeque[Double]] =
-    Array.fill(nPairs)(mutable.ArrayDeque.empty)
-  private val pairTerms: Array[Terms] = new Array[Terms](nPairs)
-
-  def pairIndex(i: Int, j: Int): Int = i * nSeries - i * (i + 1) / 2 + (j - i - 1)
-
-  def size: Int = seriesWindows(0).size
-  def full: Boolean = size == nWindows
-
-  /** Feed one basic window of raw data per series (same contract as
-    * SlidingNetwork.ingest, but sketching with DFT).
-    */
-  def ingest(windows: Array[Array[Double]]): Unit = {
-    require(windows.length == nSeries)
+  override protected def windowCorrs(windows: Array[Array[Double]], stats: Array[WindowStats]): Array[Double] = {
     val b = windows(0).length
-    require(windows.forall(_.length == b))
     require(nCoeff <= b, s"nCoeff=$nCoeff exceeds window size $b")
-    val stats = windows.map(WindowStats.of)
-    val sketches: Array[DftSketch] = Array.tabulate(nSeries) { i =>
+    val sketches = Array.tabulate(windows.length) { i =>
       val (re, im) = DFT.transform(ApproxCorrelation.normalize(windows(i), stats(i)))
       DftSketch(re, im)
     }
-    val evicting = full
-    var i = 0
-    while (i < nSeries) {
-      var j = i + 1
-      while (j < nSeries) {
-        val p = pairIndex(i, j)
-        val dSq = ApproxCorrelation.windowDistSq(sketches(i), sketches(j), nCoeff)
-        val cHat = ApproxCorrelation.corrFromDistSq(dSq)
-        if (pairTerms(p) == null) {
-          pairTerms(p) = Terms(b.toLong, b * stats(i).std * stats(j).std * cHat,
-            b * stats(i).variance, b * stats(j).variance, stats(i).mean, stats(j).mean)
-        } else if (evicting) {
-          pairTerms(p) = ApproxCorrelation.eq6Slide(pairTerms(p),
-            seriesWindows(i).head, seriesWindows(j).head, pairDSq(p).head,
-            stats(i), stats(j), dSq)
-          pairDSq(p).removeHead()
-        } else {
-          pairTerms(p) = repro.core.IncrementalCorrelation.append(pairTerms(p), stats(i), stats(j), cHat)
-        }
-        pairDSq(p).append(dSq)
-        j += 1
-      }
-      i += 1
-    }
-    i = 0
-    while (i < nSeries) {
-      if (evicting) seriesWindows(i).removeHead()
-      seriesWindows(i).append(stats(i))
-      i += 1
-    }
+    pairwise((i, j) => ApproxCorrelation.corrFromDistSq(
+      ApproxCorrelation.windowDistSq(sketches(i), sketches(j), nCoeff)))
   }
-
-  def corr(i: Int, j: Int): Double = pairTerms(pairIndex(i, j)).corr
-
-  def matrix(): Array[Array[Double]] = {
-    val m = Array.fill(nSeries, nSeries)(1.0)
-    var i = 0
-    while (i < nSeries) {
-      var j = i + 1
-      while (j < nSeries) { val c = corr(i, j); m(i)(j) = c; m(j)(i) = c; j += 1 }
-      i += 1
-    }
-    m
-  }
-
-  def network(theta: Double): Network = Network.fromMatrix(matrix(), theta)
 }

@@ -22,6 +22,11 @@ final case class SketchStore(root: String, format: String = "parquet") {
 
   private def pairPath = s"$root/pair_sketch"
 
+  // CSV carries its column names in a header, so stores with and without
+  // the DFT `d_sq` column both read back; numeric types are inferred.
+  private def options =
+    if (format == "csv") Map("header" -> "true", "inferSchema" -> "true") else Map.empty[String, String]
+
   /** Persist a pair sketch (drops the transient value/DFT arrays first —
     * the persisted columns are the paper's per-window statistics).
     */
@@ -29,19 +34,12 @@ final case class SketchStore(root: String, format: String = "parquet") {
     val persisted = sketch.select(
       sketch.columns.filter(c => c != "vx" && c != "vy" && c != "dft_x" && c != "dft_y")
         .map(sketch.col): _*)
-    persisted.write.mode(SaveMode.Overwrite).format(format).save(pairPath)
+    persisted.write.mode(SaveMode.Overwrite).format(format).options(options).save(pairPath)
   }
 
-  /** Read the persisted pair sketch back. CSV round-trips with an inferred
-    * schema-free read would stringify; we re-read with the written schema.
-    */
+  /** Read the persisted pair sketch back. */
   def readPair(spark: SparkSession): DataFrame =
-    if (format == "csv")
-      spark.read.format(format)
-        .option("inferSchema", "true")
-        .load(pairPath)
-        .toDF("i", "j", "w", "b", "mean_x", "std_x", "mean_y", "std_y", "c")
-    else spark.read.format(format).load(pairPath)
+    spark.read.format(format).options(options).load(pairPath)
 
   /** Total bytes of the persisted sketch (data files only). */
   def sizeBytes: Long = {

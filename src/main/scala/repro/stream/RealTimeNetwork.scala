@@ -28,8 +28,10 @@ final class RealTimeNetwork(spark: SparkSession, val nSeries: Int, val b: Int, v
 
   val sliding = new SlidingNetwork(nSeries, nWindows)
 
-  // t → per-series values observed so far at that timestamp
+  // t → per-series values observed so far at that timestamp, which series
+  // they came from, and how many distinct series that is
   private val pendingValues = mutable.LongMap.empty[Array[Double]]
+  private val pendingSeen = mutable.LongMap.empty[mutable.BitSet]
   private val pendingCounts = mutable.LongMap.empty[Int]
   private var nextWindowStart = 0L
   private var windowsIngested = 0L
@@ -53,7 +55,9 @@ final class RealTimeNetwork(spark: SparkSession, val nSeries: Int, val b: Int, v
       require(o.seriesId >= 0 && o.seriesId < nSeries, s"bad series ${o.seriesId}")
       val arr = pendingValues.getOrElseUpdate(o.t, new Array[Double](nSeries))
       arr(o.seriesId) = o.value
-      pendingCounts(o.t) = pendingCounts.getOrElse(o.t, 0) + 1
+      // a duplicate (series, t) row must not stand in for a missing series
+      if (pendingSeen.getOrElseUpdate(o.t, mutable.BitSet.empty).add(o.seriesId))
+        pendingCounts(o.t) = pendingCounts.getOrElse(o.t, 0) + 1
     }
     var complete = true
     while (complete) {
@@ -67,7 +71,7 @@ final class RealTimeNetwork(spark: SparkSession, val nSeries: Int, val b: Int, v
           Array.tabulate(b)(k => pendingValues(nextWindowStart + k)(i)))
         sliding.ingest(windows)
         (nextWindowStart until nextWindowStart + b).foreach { tt =>
-          pendingValues.remove(tt); pendingCounts.remove(tt)
+          pendingValues.remove(tt); pendingSeen.remove(tt); pendingCounts.remove(tt)
         }
         nextWindowStart += b
         windowsIngested += 1

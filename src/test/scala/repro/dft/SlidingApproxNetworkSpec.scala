@@ -67,6 +67,20 @@ class SlidingApproxNetworkSpec extends AnyFunSuite {
     intercept[IllegalArgumentException](net.ingest(Array(Array.fill(10)(1.0), Array.fill(10)(2.0))))
   }
 
+  test("pairs outside i < j are rejected, not aliased onto another pair") {
+    val n = 4; val b = 8
+    val approx = new SlidingApproxNetwork(n, 2, b)
+    approx.ingest(windowsOf(ClimateData.series(n, b, 25L), b, 0))
+    intercept[IllegalArgumentException](approx.corr(1, 0))
+    intercept[IllegalArgumentException](approx.corr(2, 2))
+    intercept[IllegalArgumentException](approx.corr(0, n))
+  }
+
+  test("corr before any window is ingested is rejected") {
+    val approx = new SlidingApproxNetwork(3, 2, 4)
+    intercept[IllegalArgumentException](approx.corr(0, 1))
+  }
+
   test("network thresholding works on the approx matrix") {
     val n = 4; val b = 20
     val data = ClimateData.series(n, b * 3, 24L)

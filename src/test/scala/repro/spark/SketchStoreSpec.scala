@@ -38,6 +38,24 @@ class SketchStoreSpec extends SparkSpec {
     store.delete()
   }
 
+  test("csv round-trip of a DFT sketch keeps d_sq") {
+    val store = SketchStore(tempRoot(), format = "csv")
+    val dftSketch = Sketcher.pairSketch(Sketcher.withDft(Sketcher.seriesWindowStats(raw, 15)), 10)
+    store.writePair(dftSketch)
+    val back = store.readPair(spark).collect()
+      .map(r => ((r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Int]("w")),
+        (r.getAs[Double]("c"), r.getAs[Double]("d_sq")))).toMap
+    val written = dftSketch.collect()
+    assert(back.size == written.length)
+    written.foreach { r =>
+      val key = (r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Long]("w").toInt)
+      val (c, dSq) = back(key)
+      assert(math.abs(c - r.getAs[Double]("c")) < 1e-9, s"c $key")
+      assert(math.abs(dSq - r.getAs[Double]("d_sq")) < 1e-9, s"d_sq $key")
+    }
+    store.delete()
+  }
+
   test("sizeBytes is positive after write, zero before") {
     val store = SketchStore(tempRoot())
     assert(store.sizeBytes == 0L)

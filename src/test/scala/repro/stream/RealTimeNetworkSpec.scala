@@ -74,6 +74,27 @@ class RealTimeNetworkSpec extends SparkSpec {
     } finally net.stop()
   }
 
+  test("a duplicate row does not stand in for another series' missing row") {
+    val n = 3; val b = 6; val nWin = 2
+    val data = ClimateData.series(n, b * nWin, 77L)
+    val net = new RealTimeNetwork(spark, n, b, nWin)
+    try {
+      net.sendAndProcess(obsFor(data, 0, b))
+      assert(net.ingestedWindows == 1)
+      val last = 2 * b - 1
+      // series 2 withholds its last point; series 0 sends that timestamp twice
+      val rows = obsFor(data, b, 2 * b).filterNot(o => o.seriesId == 2 && o.t == last) :+
+        Obs(0, last.toLong, data(0)(last))
+      net.sendAndProcess(rows)
+      assert(net.ingestedWindows == 1)
+      net.sendAndProcess(Seq(Obs(2, last.toLong, data(2)(last))))
+      assert(net.ingestedWindows == 2)
+      val m = net.matrix()
+      for (i <- 0 until n; j <- i + 1 until n)
+        assert(math.abs(m(i)(j) - TestSeries.refPearson(data(i), data(j))) < tol, s"pair ($i,$j)")
+    } finally net.stop()
+  }
+
   test("out-of-order arrival within a window is tolerated") {
     val n = 2; val b = 6
     val data = ClimateData.series(n, b * 2, 75L)
