@@ -17,14 +17,17 @@ object BasicWindows {
   }
 
   /** Sketches of every equal-size basic window of one series. */
-  def sketch(xs: Array[Double], b: Int): Array[WindowStats] =
-    split(xs, b).map(WindowStats.of)
+  def sketch(xs: Array[Double], b: Int): Array[WindowStats] = {
+    require(b > 0, "basic window size must be positive")
+    Array.tabulate(xs.length / b)(j => WindowStats.of(xs, j * b, b))
+  }
 
   /** Per-pair per-window correlations c_j for aligned equal-size windows. */
   def pairCorrs(x: Array[Double], y: Array[Double], b: Int): Array[Double] = {
-    val xs = split(x, b); val ys = split(y, b)
-    require(xs.length == ys.length, "series must have equal length")
-    Array.tabulate(xs.length)(j => WindowStats.pearson(xs(j), ys(j)))
+    require(b > 0, "basic window size must be positive")
+    val n = x.length / b
+    require(n == y.length / b, "series must have equal length")
+    Array.tabulate(n)(j => CorrKernel.corr(x, y, j * b, b))
   }
 
   /** Ids of the basic windows fully covered by a query over [start, end]

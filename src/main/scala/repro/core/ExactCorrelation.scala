@@ -74,9 +74,8 @@ object ExactCorrelation {
     val sy = IndexedSeq.newBuilder[WindowStats]
     val cs = IndexedSeq.newBuilder[Double]
     def addRaw(lo: Int, hi: Int): Unit = {
-      val xs = java.util.Arrays.copyOfRange(x, lo, hi + 1)
-      val ys = java.util.Arrays.copyOfRange(y, lo, hi + 1)
-      sx += WindowStats.of(xs); sy += WindowStats.of(ys); cs += WindowStats.pearson(xs, ys)
+      val wx = WindowStats.of(x, lo, hi - lo + 1); val wy = WindowStats.of(y, lo, hi - lo + 1)
+      sx += wx; sy += wy; cs += CorrKernel.corr(x, y, lo, wx, wy)
     }
     cov.headRange.foreach { case (lo, hi) => addRaw(lo, hi) }
     cov.fullWindows.foreach { w => sx += sketchX(w); sy += sketchY(w); cs += pairC(w) }

@@ -9,7 +9,8 @@ import repro.core.ExactCorrelation.Terms
   * every pair via Lemma 2.
   *
   * The per-window c_j estimate is the only variation point: this class uses
-  * exact Pearson; [[repro.dft.SlidingApproxNetwork]] overrides
+  * the exact c_j, the Gram of the normalised windows ([[CorrKernel]]);
+  * [[repro.dft.SlidingApproxNetwork]] overrides
   * [[windowCorrs]] with the DFT estimate 1 − d²/2, which makes the same
   * Lemma-2 slide the paper's Equation 6.
   *
@@ -44,29 +45,18 @@ class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
   def full: Boolean = size == nWindows
 
   /** Per-window step: the c_j of every pair, in pair-index order, for one
-    * arriving basic window per series with its sketches.
+    * arriving basic window per series, given as the normalised rows x̂
+    * (row i at i·b of `rows`; see [[CorrKernel]]). Exact c_j is their Gram.
     */
-  protected def windowCorrs(windows: Array[Array[Double]], stats: Array[WindowStats]): Array[Double] =
-    pairwise((i, j) => WindowStats.pearson(windows(i), windows(j)))
-
-  /** `f(i, j)` for every pair i < j, in pair-index order. */
-  protected final def pairwise(f: (Int, Int) => Double): Array[Double] = {
-    val out = new Array[Double](nPairs)
-    var p = 0
-    var i = 0
-    while (i < nSeries) {
-      var j = i + 1
-      while (j < nSeries) { out(p) = f(i, j); p += 1; j += 1 }
-      i += 1
-    }
-    out
-  }
+  protected def windowCorrs(rows: Array[Double], b: Int): Array[Double] =
+    CorrKernel.gram(rows, nSeries, b)
 
   /** Feed one basic window of raw data for every series. Until the window
     * count reaches n_s this grows the query window (Lemma 2's append
     * special case); afterwards it slides (evict oldest + add newest).
-    * Per-pair cost after the O(N·B) sketch and the per-window c_j step is
-    * O(1) — the point of Lemma 2.
+    * Each series' window is sketched and normalised once (O(N·B)); the
+    * per-window c_j step follows, and the per-pair cost after it is O(1),
+    * the point of Lemma 2.
     *
     * @param windows raw basic window per series, all of equal length
     */
@@ -75,7 +65,9 @@ class SlidingNetwork(val nSeries: Int, val nWindows: Int) {
     val b = windows(0).length
     require(windows.forall(_.length == b), "all series must deliver equal-size basic windows")
     val stats = windows.map(WindowStats.of)
-    val cs = windowCorrs(windows, stats)
+    val rows = new Array[Double](nSeries * b)
+    for (i <- 0 until nSeries) CorrKernel.normalizeInto(windows(i), 0, stats(i), rows, i * b)
+    val cs = windowCorrs(rows, b)
     val evStats = statsRing(next); val evCs = corrRing(next)
     var p = 0
     var i = 0

@@ -17,17 +17,19 @@ final case class WindowStats(size: Int, mean: Double, std: Double) {
 
 object WindowStats {
 
-  /** One-pass sketch of a raw basic window. */
-  def of(xs: Array[Double]): WindowStats = {
-    val n = xs.length
+  /** Sketch of a raw basic window. */
+  def of(xs: Array[Double]): WindowStats = of(xs, 0, xs.length)
+
+  /** Sketch of the window xs[from, from + n), read in place. */
+  def of(xs: Array[Double], from: Int, n: Int): WindowStats = {
     require(n > 0, "empty basic window")
     var s = 0.0
-    var i = 0
-    while (i < n) { s += xs(i); i += 1 }
+    var i = from
+    while (i < from + n) { s += xs(i); i += 1 }
     val mean = s / n
     var v = 0.0
-    i = 0
-    while (i < n) { val d = xs(i) - mean; v += d * d; i += 1 }
+    i = from
+    while (i < from + n) { val d = xs(i) - mean; v += d * d; i += 1 }
     WindowStats(n, mean, math.sqrt(v / n))
   }
 

@@ -1,6 +1,6 @@
 package repro.dft
 
-import repro.core.{ExactCorrelation, IncrementalCorrelation, WindowStats}
+import repro.core.{CorrKernel, ExactCorrelation, IncrementalCorrelation, WindowStats}
 import repro.core.ExactCorrelation.Terms
 
 /** DFT-based approximate correlation (paper §2.2 and §3.2) — the
@@ -15,20 +15,12 @@ import repro.core.ExactCorrelation.Terms
   */
 object ApproxCorrelation {
 
-  /** Normalized window (zero mean, unit L2 norm). A constant window maps
-    * to the zero vector; its σ multiplies every use of the resulting
-    * distance in Eq 5, so the convention is harmless.
+  /** Normalized window (zero mean, unit L2 norm), the shared c_j kernel's
+    * normalisation. A constant window maps to the zero vector; its σ
+    * multiplies every use of the resulting distance in Eq 5, so the
+    * convention is harmless.
     */
-  def normalize(xs: Array[Double], s: WindowStats): Array[Double] = {
-    val n = xs.length
-    val out = new Array[Double](n)
-    if (s.std > 0.0) {
-      val den = s.std * math.sqrt(n.toDouble)
-      var i = 0
-      while (i < n) { out(i) = (xs(i) - s.mean) / den; i += 1 }
-    }
-    out
-  }
+  def normalize(xs: Array[Double], s: WindowStats): Array[Double] = CorrKernel.normalize(xs, s)
 
   /** Per-window DFT sketch: coefficients of the normalized window. */
   final case class DftSketch(re: Array[Double], im: Array[Double])

@@ -41,10 +41,8 @@ object InMemoryFigures {
       }
     }
     // exact per-window correlations, averaged (coefficient-independent)
-    val exactNet = Network.fromPairs(n, (i, j) => {
-      val cs = Array.tabulate(nWin)(w => WindowStats.pearson(windows(i)(w), windows(j)(w)))
-      ApproxCorrelation.statStreamAverage(cs.toIndexedSeq)
-    }, theta)
+    val exactNet = Network.fromPairs(n, (i, j) =>
+      ApproxCorrelation.statStreamAverage(BasicWindows.pairCorrs(data(i), data(j), b).toIndexedSeq), theta)
     coeffs.map { nc =>
       val dftNet = Network.fromPairs(n, (i, j) => {
         var sum = 0.0
@@ -77,16 +75,14 @@ object InMemoryFigures {
       var stats: Array[Array[WindowStats]] = null
       var cs: Array[Array[Double]] = null
       val tsubasaSketch = Timing.timeMs {
-        val windows = trimmed.map(BasicWindows.split(_, b))
-        stats = windows.map(_.map(WindowStats.of))
-        val nWin = windows(0).length
+        stats = trimmed.map(BasicWindows.sketch(_, b))
         cs = new Array[Array[Double]](n * (n - 1) / 2)
         var p = 0
         var i = 0
         while (i < n) {
           var j = i + 1
           while (j < n) {
-            cs(p) = Array.tabulate(nWin)(w => WindowStats.pearson(windows(i)(w), windows(j)(w)))
+            cs(p) = BasicWindows.pairCorrs(trimmed(i), trimmed(j), b)
             p += 1; j += 1
           }
           i += 1
@@ -156,13 +152,13 @@ object InMemoryFigures {
     val nc = math.max(1, (coeffFraction * b).toInt)
     val nPairs = n * (n - 1) / 2
     // dense per-series / per-pair sketches (query-time inputs)
-    val means = Array.tabulate(n)(i => windows(i).map(w => WindowStats.of(w).mean))
-    val stds = Array.tabulate(n)(i => windows(i).map(w => WindowStats.of(w).std))
+    val stats = data.map(BasicWindows.sketch(_, b))
+    val means = stats.map(_.map(_.mean))
+    val stds = stats.map(_.map(_.std))
     val cs = new Array[Array[Double]](nPairs)
     val cHat = new Array[Array[Double]](nPairs) // 1 − d²/2 per window (Eq 5 inputs)
     val sketches = Array.tabulate(n)(i => Array.tabulate(nWin) { w =>
-      val stats = WindowStats(b, means(i)(w), stds(i)(w))
-      val (re, im) = DFT.transform(ApproxCorrelation.normalize(windows(i)(w), stats))
+      val (re, im) = DFT.transform(ApproxCorrelation.normalize(windows(i)(w), stats(i)(w)))
       DftSketch(re, im)
     })
     var p = 0
@@ -170,7 +166,7 @@ object InMemoryFigures {
     while (i < n) {
       var j = i + 1
       while (j < n) {
-        cs(p) = Array.tabulate(nWin)(w => WindowStats.pearson(windows(i)(w), windows(j)(w)))
+        cs(p) = BasicWindows.pairCorrs(data(i), data(j), b)
         cHat(p) = Array.tabulate(nWin)(w => ApproxCorrelation.corrFromDistSq(
           ApproxCorrelation.windowDistSq(sketches(i)(w), sketches(j)(w), nc)))
         p += 1; j += 1

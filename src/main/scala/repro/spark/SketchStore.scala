@@ -3,6 +3,7 @@ package repro.spark
 import java.nio.file.{Files, Path, Paths}
 import java.util.Comparator
 import org.apache.spark.sql.{DataFrame, SaveMode, SparkSession}
+import org.apache.spark.sql.types.LongType
 
 /** Disk-based sketch store (paper §3.4) — substitution: the paper writes
   * sketches to PostgreSQL through a dedicated database worker; here Spark
@@ -37,9 +38,14 @@ final case class SketchStore(root: String, format: String = "parquet") {
     persisted.write.mode(SaveMode.Overwrite).format(format).options(options).save(pairPath)
   }
 
-  /** Read the persisted pair sketch back. */
-  def readPair(spark: SparkSession): DataFrame =
-    spark.read.format(format).options(options).load(pairPath)
+  /** Read the persisted pair sketch back, with the sketcher's column types
+    * whatever the format: CSV infers the narrowest type, which would make
+    * the window id `w` an `Int` where the sketch and Parquet hold a `Long`.
+    */
+  def readPair(spark: SparkSession): DataFrame = {
+    val back = spark.read.format(format).options(options).load(pairPath)
+    if (format == "csv") back.withColumn("w", back.col("w").cast(LongType)) else back
+  }
 
   /** Total bytes of the persisted sketch (data files only). */
   def sizeBytes: Long = {

@@ -30,9 +30,9 @@ class SketchStoreSpec extends SparkSpec {
     val store = SketchStore(tempRoot(), format = "csv")
     store.writePair(sketch)
     val back = store.readPair(spark).collect()
-      .map(r => ((r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Int]("w")), r.getAs[Double]("c"))).toMap
+      .map(r => ((r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Long]("w")), r.getAs[Double]("c"))).toMap
     sketch.collect().foreach { r =>
-      val key = (r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Long]("w").toInt)
+      val key = (r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Long]("w"))
       assert(math.abs(back(key) - r.getAs[Double]("c")) < 1e-9, s"$key")
     }
     store.delete()
@@ -43,17 +43,30 @@ class SketchStoreSpec extends SparkSpec {
     val dftSketch = Sketcher.pairSketch(Sketcher.withDft(Sketcher.seriesWindowStats(raw, 15)), 10)
     store.writePair(dftSketch)
     val back = store.readPair(spark).collect()
-      .map(r => ((r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Int]("w")),
+      .map(r => ((r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Long]("w")),
         (r.getAs[Double]("c"), r.getAs[Double]("d_sq")))).toMap
     val written = dftSketch.collect()
     assert(back.size == written.length)
     written.foreach { r =>
-      val key = (r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Long]("w").toInt)
+      val key = (r.getAs[Int]("i"), r.getAs[Int]("j"), r.getAs[Long]("w"))
       val (c, dSq) = back(key)
       assert(math.abs(c - r.getAs[Double]("c")) < 1e-9, s"c $key")
       assert(math.abs(dSq - r.getAs[Double]("d_sq")) < 1e-9, s"d_sq $key")
     }
     store.delete()
+  }
+
+  test("csv and parquet stores read back the same schema") {
+    val dftSketch = Sketcher.pairSketch(Sketcher.withDft(Sketcher.seriesWindowStats(raw, 15)), 10)
+    val types = Seq("parquet", "csv").map { format =>
+      val store = SketchStore(tempRoot(), format)
+      store.writePair(dftSketch)
+      val fields = store.readPair(spark).schema.fields.map(f => f.name -> f.dataType).toSeq
+      store.delete()
+      fields
+    }
+    assert(types(0) == types(1))
+    assert(types(0).toMap.apply("w") == org.apache.spark.sql.types.LongType)
   }
 
   test("sizeBytes is positive after write, zero before") {
