@@ -21,10 +21,15 @@ object ExactCorrelation {
   final case class Terms(t: Long, numerator: Double, tVarX: Double, tVarY: Double,
                          grandMeanX: Double, grandMeanY: Double) {
     /** Pearson correlation; 0 when either side is constant over the window. */
-    def corr: Double =
-      if (tVarX <= 0.0 || tVarY <= 0.0) 0.0
-      else numerator / math.sqrt(tVarX * tVarY)
+    def corr: Double = ExactCorrelation.corr(numerator, tVarX, tVarY)
   }
+
+  /** Pearson correlation from T·cov and both T·σ²; 0 when either side is
+    * constant over the window.
+    */
+  def corr(numerator: Double, tVarX: Double, tVarY: Double): Double =
+    if (tVarX <= 0.0 || tVarY <= 0.0) 0.0
+    else numerator / math.sqrt(tVarX * tVarY)
 
   /** Combine per-window sketches into Lemma 1 terms. */
   def terms(sx: IndexedSeq[WindowStats], sy: IndexedSeq[WindowStats], c: IndexedSeq[Double]): Terms = {

@@ -12,7 +12,8 @@ import org.apache.spark.sql.{DataFrame, functions => F}
   *   T σ_x²    = Σ B σ_x²      + Σ B m_x²   − (Σ B m_x)²/T
   *
   * which is a fold over per-window products — exactly a `groupBy(i, j)`
-  * with nine `sum`s.
+  * with nine `sum`s. The correlation is 0 when either T·σ² is ≤ 0, as in
+  * [[repro.core.ExactCorrelation.corr]].
   */
 object SparkExact {
 
@@ -35,12 +36,15 @@ object SparkExact {
         F.sum(F.col("b") * F.col("std_x") * F.col("std_x")).as("svx"),
         F.sum(F.col("b") * F.col("std_y") * F.col("std_y")).as("svy"),
       )
+      .withColumn("vx", F.col("svx") + F.col("smx2") - F.col("smx") * F.col("smx") / t)
+      .withColumn("vy", F.col("svy") + F.col("smy2") - F.col("smy") * F.col("smy") / t)
       .select(
         F.col("i"), F.col("j"),
-        ((F.col("scov") + F.col("smxy") - F.col("smx") * F.col("smy") / t) /
-          F.sqrt(
-            (F.col("svx") + F.col("smx2") - F.col("smx") * F.col("smx") / t) *
-            (F.col("svy") + F.col("smy2") - F.col("smy") * F.col("smy") / t))).as("corr"),
+        // ExactCorrelation.corr's rule: 0 when either side is constant
+        // (Spark's ANSI mode would otherwise throw on the zero divisor)
+        F.when(F.col("vx") <= 0.0 || F.col("vy") <= 0.0, 0.0)
+          .otherwise((F.col("scov") + F.col("smxy") - F.col("smx") * F.col("smy") / t) /
+            F.sqrt(F.col("vx") * F.col("vy"))).as("corr"),
       )
   }
 

@@ -59,4 +59,25 @@ object TestSeries {
     val vy = syy / n - (sy / n) * (sy / n)
     if (vx <= 0 || vy <= 0) 0.0 else cov / math.sqrt(vx * vy)
   }
+
+  /** Independent centred two-pass Pearson reference: both means first,
+    * then the co-moment and both variances about them. Unlike the
+    * power-sum form of `refPearson` it does not cancel at large offsets.
+    */
+  def centredPearson(x: Array[Double], y: Array[Double]): Double = {
+    require(x.length == y.length && x.length > 0)
+    val n = x.length
+    var sx = 0.0; var sy = 0.0
+    var i = 0
+    while (i < n) { sx += x(i); sy += y(i); i += 1 }
+    val mx = sx / n; val my = sy / n
+    var sxy = 0.0; var sxx = 0.0; var syy = 0.0
+    i = 0
+    while (i < n) {
+      val dx = x(i) - mx; val dy = y(i) - my
+      sxy += dx * dy; sxx += dx * dx; syy += dy * dy
+      i += 1
+    }
+    if (sxx <= 0 || syy <= 0) 0.0 else sxy / math.sqrt(sxx * syy)
+  }
 }

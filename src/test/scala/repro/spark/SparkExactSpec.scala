@@ -99,6 +99,24 @@ class SparkExactSpec extends SparkSpec {
     }
   }
 
+  test("a series constant over the queried window gives 0, as in core") {
+    val d = ClimateData.series(4, len, seed = 43L)
+    for (t <- b until 3 * b) d(1)(t) = 3.0 // windows 1 and 2
+    val sk = Sketcher.pairSketch(Sketcher.seriesWindowStats(ClimateData.toDF(spark, d), b))
+    val rows = SparkExact.correlationMatrix(sk, 1, 2).collect()
+    assert(rows.length == 6)
+    rows.foreach { r =>
+      val i = r.getAs[Int]("i"); val j = r.getAs[Int]("j")
+      val local = ExactCorrelation.lemma1(
+        BasicWindows.sketch(d(i), b).slice(1, 3).toIndexedSeq,
+        BasicWindows.sketch(d(j), b).slice(1, 3).toIndexedSeq,
+        BasicWindows.pairCorrs(d(i), d(j), b).slice(1, 3).toIndexedSeq)
+      val got = r.getAs[Double]("corr")
+      if (i == 1 || j == 1) assert(got == 0.0 && local == 0.0, s"($i,$j): $got, core $local")
+      else assert(math.abs(got - local) < 1e-9, s"($i,$j)")
+    }
+  }
+
   test("edges applies a strict threshold") {
     val corrDf = SparkExact.correlationMatrix(sketch, 0, nWin - 1)
     val all = corrDf.collect().map(r => r.getAs[Double]("corr"))
